@@ -18,12 +18,12 @@ use prestige_crypto::{
 };
 use prestige_sim::{Context, Process, TimerId};
 use prestige_types::{
-    Actor, ClientId, ClusterConfig, Digest, Message, PartialSig, Proposal, QcKind,
-    QuorumCertificate, SeqNum, ServerId, SyncKind, TxBlock, View,
+    Actor, ClientId, ClusterConfig, Digest, KeySet, Message, PartialSig, Proposal, QcKind,
+    QuorumCertificate, SeqNum, ServerId, SyncKind, TxBlock, TxKeySet, View,
 };
 use serde::{Deserialize, Serialize};
 use std::any::Any;
-use std::collections::{BTreeMap, HashMap, HashSet};
+use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
 
 /// Timer tags local to the baseline protocols (distinct from
@@ -114,7 +114,7 @@ pub struct PassiveBftServer {
     view_change_pending: bool,
 
     pending_proposals: Vec<Proposal>,
-    seen_tx: HashSet<(ClientId, u64)>,
+    seen_tx: TxKeySet,
     next_seq: SeqNum,
     inflight: BTreeMap<u64, Instance>,
     ordered_digests: HashMap<u64, Digest>,
@@ -173,7 +173,7 @@ impl PassiveBftServer {
             syncing_until_seq: None,
             view_change_pending: false,
             pending_proposals: Vec::new(),
-            seen_tx: HashSet::new(),
+            seen_tx: TxKeySet::default(),
             next_seq: SeqNum(1),
             inflight: BTreeMap::new(),
             ordered_digests: HashMap::new(),
@@ -702,7 +702,8 @@ impl PassiveBftServer {
         self.stats
             .commit_log
             .push((ctx.now().as_ms(), block.tx.len() as u64));
-        let mut committed: HashSet<(ClientId, u64)> = HashSet::with_capacity(block.tx.len());
+        let mut committed: KeySet<(ClientId, u64)> =
+            KeySet::with_capacity_and_hasher(block.tx.len(), Default::default());
         for tx in &block.tx {
             committed.insert(tx.key());
             self.seen_tx.insert(tx.key());

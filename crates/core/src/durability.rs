@@ -356,7 +356,7 @@ mod tests {
     use prestige_crypto::KeyRegistry;
     use prestige_sim::{Context, Effects, Emission, SimRng, SimTime};
     use prestige_storage::MemStorage;
-    use prestige_types::{ClientId, ClusterConfig, ServerId, Transaction, TxBlock};
+    use prestige_types::{ClientId, ClusterConfig, Proposal, ServerId, Transaction, TxBlock};
 
     fn with_ctx(
         server: &mut PrestigeServer,
@@ -557,6 +557,25 @@ mod tests {
         assert_eq!(restarted.signed_commit_tip, 7);
         assert!(restarted.ord_qcs.contains_key(&7));
         assert_eq!(restarted.role, ServerRole::Follower);
+
+        // The replayed keys 1..=6 fold into the client's watermark.
+        assert_eq!(restarted.seen_tx.sparse_len(), 0);
+
+        // A retransmitted `Prop` for a replayed transaction is dropped; a new
+        // one is taken.
+        let proposals = [3, 7]
+            .into_iter()
+            .map(|ts| Proposal::new(Transaction::with_size(ClientId(1), ts, 16), Digest::ZERO))
+            .collect();
+        with_ctx(&mut restarted, |s, ctx| {
+            s.handle_prop(Actor::Client(ClientId(1)), proposals, [0; 32], ctx)
+        });
+        let pending: Vec<u64> = restarted
+            .pending_proposals
+            .iter()
+            .map(|p| p.tx.timestamp)
+            .collect();
+        assert_eq!(pending, vec![7]);
     }
 
     #[test]
@@ -602,6 +621,13 @@ mod tests {
         );
         // The dedup keys below the checkpoint stay GC'd; 5 and 6 re-applied.
         assert_eq!(restarted.committed_tx_keys.len(), 2);
+        // The residual bound of the watermark set: a replica restored on a
+        // checkpoint anchor only ever sees its clients' keys above the
+        // anchor, so they never become contiguous and each is held in the
+        // sparse part — one entry per key, as a plain key set would hold.
+        assert_eq!(restarted.seen_tx.sparse_len(), 2);
+        assert!(restarted.seen_tx.contains(&(ClientId(1), 5)));
+        assert!(!restarted.seen_tx.contains(&(ClientId(1), 4)));
 
         // The anchor is local scaffolding: a real block store still agrees.
         let mut fresh = BlockStore::new(4);

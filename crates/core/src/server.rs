@@ -20,7 +20,7 @@ use prestige_reputation::{RefreshTracker, ReputationEngine};
 use prestige_sim::{Context, Process, SimTime, TimerId};
 use prestige_types::{
     Actor, ClientId, ClusterConfig, Digest, KeyMap, KeySet, Message, Proposal, QuorumCertificate,
-    SeqNum, ServerId, TxBlock, VcBlock, View,
+    SeqNum, ServerId, TxBlock, TxKeySet, VcBlock, View,
 };
 use serde::{Deserialize, Serialize};
 use std::any::Any;
@@ -315,9 +315,9 @@ pub struct PrestigeServer {
     /// Proposals received but not yet ordered (leader side).
     pub(crate) pending_proposals: Vec<Proposal>,
     /// Transaction keys already committed or currently pending, for dedup.
-    /// Keyed with the fast mixer ([`prestige_types::hashkey`]): these sets
-    /// absorb several operations per transaction on the hot path.
-    pub(crate) seen_tx: KeySet<(ClientId, u64)>,
+    /// Held per client as a watermark plus the reorder window beyond it
+    /// ([`TxKeySet`]), so it stays small however many transactions pass.
+    pub(crate) seen_tx: TxKeySet,
     /// The next sequence number a leader will assign.
     pub(crate) next_seq: SeqNum,
     /// Leader-side in-flight instances keyed by sequence number.
@@ -544,7 +544,7 @@ impl PrestigeServer {
                 ServerRole::Follower
             },
             pending_proposals: Vec::new(),
-            seen_tx: KeySet::default(),
+            seen_tx: TxKeySet::default(),
             next_seq: SeqNum(1),
             inflight: BTreeMap::new(),
             ordered_digests: HashMap::new(),

@@ -31,7 +31,7 @@ pub use config::{
     ClusterConfig, PowConfig, PowMode, ReputationConfig, TimeoutConfig, ViewChangePolicy,
 };
 pub use error::{ProtocolError, Result};
-pub use hashkey::{BuildKeyHasher, KeyHasher, KeyMap, KeySet};
+pub use hashkey::{BuildKeyHasher, KeyHasher, KeyMap, KeySet, TxKeySet};
 pub use ids::{ClientId, ReplicaSet, SeqNum, ServerId, View};
 pub use message::{Actor, Message, MessageKind, NetMessage, OrderedEntry, SyncKind, Wire};
 pub use qc::{PartialSig, QcKind, QuorumCertificate};
