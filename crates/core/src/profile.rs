@@ -33,10 +33,10 @@ pub const STAGE_COUNT: usize = 9;
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[repr(usize)]
 pub enum LoopStage {
-    /// Pulling one inbound message off the transport (queue pop + any frame
-    /// work done on the loop thread). When a message arrives partway through
-    /// the loop's bounded wait, the remaining wait is booked here too; under
-    /// load the queue is non-empty and this converges to the pop cost.
+    /// Pulling one inbound message off the transport without waiting (queue
+    /// pop + any frame work done on the loop thread; over TCP that includes
+    /// reading and decoding whatever a zero-timeout poll finds). Under load
+    /// the queue is non-empty and this converges to the pop cost.
     Decode = 0,
     /// Protocol handler self time: dispatch, guard checks, quorum
     /// bookkeeping — everything in a handler not claimed by a sub-span.
@@ -56,7 +56,9 @@ pub enum LoopStage {
     Timer = 6,
     /// Runtime control messages (inspect closures, stop).
     Control = 7,
-    /// Bounded waits that ended without a message.
+    /// Bounded transport waits. When a message ends the wait, the wait is
+    /// booked here too, and over TCP so is reading and decoding the frames
+    /// that ended it (the socket I/O runs inside the wait).
     Idle = 8,
 }
 

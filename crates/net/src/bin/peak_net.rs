@@ -15,8 +15,9 @@
 //!
 //! - the default single point (loopback, the committed baseline config);
 //! - `--tcp`: the same cluster over real sockets ([`TcpCluster`]), which
-//!   additionally exercises — and reports — the event-driven writer loop
-//!   (vectored writes, frame coalescing, idle-vs-full flushes);
+//!   additionally exercises — and reports — the TCP transport, whose socket
+//!   I/O runs on each node's event loop (vectored writes, frame coalescing,
+//!   idle-vs-full flushes);
 //! - `--sweep`: a `pipeline_depth × verify_workers` grid (the host's core
 //!   count is recorded per run) written as a per-point array plus a `best`
 //!   summary, while the top-level fields still describe the committed-config

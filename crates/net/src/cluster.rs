@@ -375,7 +375,7 @@ impl LocalCluster {
     }
 
     /// Cluster-wide transport counter sums (servers and clients). On the
-    /// loopback fabric the writer-loop counters are always zero.
+    /// loopback fabric the TCP write counters are always zero.
     pub fn transport_totals(&self) -> TransportTotals {
         let mut totals = TransportTotals::default();
         for stats in self.transport_stats.values() {
@@ -693,8 +693,8 @@ pub fn launch_tcp_client(
 
 /// A full PrestigeBFT cluster running over real TCP sockets **in this
 /// process**: every node binds its own ephemeral loopback port and talks to
-/// the others through [`TcpTransport`] — serialization, the event-driven
-/// writer loop, reconnects, the lot. This is the seam the loopback-vs-TCP
+/// the others through [`TcpTransport`] — serialization, socket I/O on each
+/// node's event loop, reconnects, the lot. This is the seam the loopback-vs-TCP
 /// integration tests and `peak_net --tcp` use to exercise the wire path that
 /// `LocalCluster` (by design) skips.
 pub struct TcpCluster {
@@ -710,8 +710,10 @@ impl TcpCluster {
     /// Launches `config.n()` servers and `clients` closed-loop clients over
     /// TCP on `127.0.0.1`. Ports are reserved by binding (then releasing)
     /// ephemeral listeners up front, so every node starts with the complete
-    /// peer address map — the writer loops' reconnect machinery absorbs the
-    /// startup window where some peers have not bound yet.
+    /// peer address map — the transports' connector threads absorb the
+    /// startup window where some peers have not bound yet: frames sent to a
+    /// peer that is not up yet wait in its queue until a connector gets
+    /// through and flushes them.
     pub fn launch(
         config: ClusterConfig,
         seed: u64,
@@ -898,8 +900,12 @@ impl TcpCluster {
 
     /// Kills a server: its runtime stops and its transport shuts down, so
     /// its listener closes and established streams break — a process kill as
-    /// seen from the rest of the cluster. Peers' writer loops park the dead
-    /// address behind reconnect backoff.
+    /// seen from the rest of the cluster. Peers drop their inbound
+    /// connections from it at their next poll. Their writes towards it soon
+    /// fail (TCP reports the reset to the write after the first), and a
+    /// connector thread then retries the dead address with capped backoff
+    /// while their frames for it queue, shedding the newest past the
+    /// queue's capacity.
     pub fn crash_server(&mut self, id: ServerId) {
         if let Some(handle) = self.servers.remove(&id) {
             let _ = handle.stop();
@@ -933,8 +939,8 @@ impl TcpCluster {
         merged
     }
 
-    /// Cluster-wide transport counter sums — over TCP the writer-loop
-    /// counters (`writev_calls`, `frames_coalesced`, …) are live.
+    /// Cluster-wide transport counter sums — over TCP the write counters
+    /// (`writev_calls`, `frames_coalesced`, …) are live.
     pub fn transport_totals(&self) -> TransportTotals {
         let mut totals = TransportTotals::default();
         for stats in self.transport_stats.values() {

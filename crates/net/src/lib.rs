@@ -11,8 +11,10 @@
 //!    magic preamble, a wire version, and a max-frame guard;
 //! 2. **transport abstraction** ([`transport`], [`tcp`]) — the [`Transport`]
 //!    trait with two implementations: a channel-based in-process loopback
-//!    (fast, used by integration tests and CI) and a TCP transport with
-//!    per-peer reconnecting outbound queues and bounded backpressure;
+//!    (fast, used by integration tests and CI) and a TCP transport whose
+//!    socket I/O runs on the owning event loop (one `ppoll(2)` per wait,
+//!    no reader or writer threads), with per-peer reconnecting outbound
+//!    queues and bounded backpressure;
 //! 3. **node runtime** ([`runtime`]) — an event loop that drives any
 //!    `prestige_sim::Process` with real timers and real deliveries through
 //!    the same `Context`/`Effects` driver contract the simulator uses, so

@@ -1,79 +1,62 @@
-//! TCP transport: real sockets, an event-driven writer loop with vectored
-//! writes, bounded backpressure.
+//! TCP transport: real sockets served on the owning thread's event loop.
 //!
-//! Topology: every node listens on one address. Inbound connections are
-//! accepted by a listener thread; each accepted connection gets a reader
-//! thread that decodes frames (see [`crate::frame`]) and funnels them into
-//! the node's single inbound queue. The sender identity travels inside each
-//! frame, so connection direction is irrelevant to the protocol and node
-//! restarts need no handshake state.
+//! Topology: every node listens on one address and dials one outbound
+//! connection per peer. The sender identity travels inside each frame (see
+//! [`crate::frame`]), so connection direction is irrelevant to the protocol
+//! and node restarts need no handshake state.
 //!
-//! Outbound is a **single readiness-driven writer thread** for all peers
-//! (replacing the earlier thread-per-peer fan-out):
+//! There are no reader or writer threads. The thread that owns the
+//! transport (the node's event loop) does the socket I/O itself:
 //!
-//! * every peer has a frame deque and a nonblocking socket; the writer
-//!   drains each deque with `write_vectored`, so a backlog of many small
-//!   frames costs one syscall per `MAX_IOV` frames instead of one each;
-//! * flushing is **adaptive by construction**: an idle connection writes
-//!   each frame the moment it is enqueued (protecting p50 latency), while a
-//!   loaded one naturally accumulates a backlog between scheduler slots and
-//!   coalesces it (protecting throughput). Both paths are counted
-//!   (`flushes_idle` / `flushes_full` in [`TransportStats`]);
-//! * when a socket's send buffer fills (`WouldBlock`), the writer parks the
-//!   peer and waits for writability with `poll(2)` (bounded at 1 ms so new
-//!   enqueues are never starved) instead of spinning;
-//! * connects happen on short-lived connector threads so the writer never
-//!   blocks in `connect`; queued frames **survive** an unreachable peer
-//!   (capped-backoff retry) — only per-peer queue overflow sheds, newest
-//!   first, keeping memory bounded and making shed order deterministic.
+//! * **receive** — [`Transport::recv_timeout`] hands out an already decoded
+//!   frame if one is buffered. Otherwise it makes one `ppoll(2)` call,
+//!   bounded by the timeout, over the listener, every accepted connection,
+//!   every write-blocked outbound connection and a wake socket. It then
+//!   accepts new connections, reads each readable connection up to a fixed
+//!   byte budget, decodes every complete frame with a cursor (one buffer
+//!   drain per read, not per frame) and resumes blocked writers. A stream
+//!   that fails the codec's magic, version or size checks is dropped. No
+//!   inbound queue sits between the socket and the node: when the node
+//!   falls behind, TCP flow control pushes back on the sender;
+//! * **send** — [`Transport::send`] and [`Transport::broadcast`] encode on
+//!   the caller (a broadcast once, its bytes shared across peers). If the
+//!   peer's connection is up and not blocked the frame goes out at once
+//!   with a nonblocking `write_vectored` of up to 64 frames;
+//!   otherwise it waits in the peer's queue. A queue at `queue_capacity`
+//!   sheds the newest frame, so memory stays bounded and shed order is
+//!   deterministic. Flushes that find one frame count as `flushes_idle`,
+//!   flushes of a backlog as `flushes_full` (see [`TransportStats`]);
+//! * **connect** — connects run on short-lived connector threads, so the
+//!   event loop never blocks in `connect`. A connector retries with capped
+//!   backoff while frames are queued, then flushes the backlog itself, so
+//!   frames sent before the owner ever polls still arrive. A broken
+//!   connection loses only a half-written head frame; the rest of the queue
+//!   rides the reconnect.
 //!
-//! The async-runtime note: the container this repository builds in has no
-//! crates.io access, so tokio/mio cannot be used; readiness is a hand-rolled
-//! `poll(2)` call on Linux (a sub-millisecond sleep elsewhere). The
-//! [`Transport`] trait is the seam where a tokio implementation would slot
-//! in unchanged.
+//! Under the node runtime's stage profiler, frames that end a blocking wait
+//! are read and decoded inside the `idle` span; frames picked up by a
+//! zero-timeout receive land in `decode`.
+//!
+//! The workspace builds offline without tokio/mio, so readiness is a
+//! hand-rolled `ppoll(2)` call on Linux (a sub-millisecond sleep elsewhere).
+//! The [`Transport`] trait is the seam where an async implementation would
+//! slot in unchanged.
 
 use crate::frame::{BufferPool, FrameCodec};
-use crate::transport::{
-    warn_drop, warn_inbound_drop, Transport, TransportStats, DEFAULT_QUEUE_CAPACITY,
-};
+use crate::transport::{warn_drop, Transport, TransportStats, DEFAULT_QUEUE_CAPACITY};
 use prestige_types::Actor;
 use std::collections::{HashMap, VecDeque};
-use std::io::{IoSlice, Write};
+use std::io::{ErrorKind, IoSlice, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::mpsc::{channel, sync_channel, Receiver, RecvTimeoutError, Sender, SyncSender};
-use std::sync::Arc;
-use std::thread::JoinHandle;
+use std::os::unix::io::AsRawFd;
+use std::os::unix::net::UnixStream;
+use std::sync::atomic::Ordering;
+use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
-/// A complete, pre-encoded wire frame shared between the encoding thread and
-/// the writer loop. Produced once per broadcast, no matter how many peers it
-/// fans out to.
+/// A complete, pre-encoded wire frame. Produced once per broadcast, no
+/// matter how many peers it fans out to.
 type SharedFrame = Arc<[u8]>;
-
-/// One outbound item handed to the writer loop.
-///
-/// Unicast messages travel unencoded and are serialized by the writer thread
-/// into a reused scratch buffer — keeping serialization off the protocol
-/// event loop. Broadcasts arrive as a pre-encoded [`SharedFrame`]: one
-/// serialization on the caller, a refcount bump per peer.
-enum Outbound<M> {
-    /// A unicast message, encoded by the writer thread.
-    Message(M),
-    /// Shared pre-encoded bytes (broadcast fan-out).
-    Frame(SharedFrame),
-}
-
-/// Commands flowing into the writer loop.
-enum WriterCmd<M> {
-    /// Enqueue one item for `to`.
-    Send { to: Actor, item: Outbound<M> },
-    /// A connector thread finished successfully.
-    Connected { to: Actor, stream: TcpStream },
-    /// A connector thread failed; back off before retrying.
-    ConnectFailed { to: Actor },
-}
 
 /// Initial reconnect backoff; doubles per failure up to [`MAX_BACKOFF`].
 const INITIAL_BACKOFF: Duration = Duration::from_millis(50);
@@ -81,11 +64,11 @@ const INITIAL_BACKOFF: Duration = Duration::from_millis(50);
 const MAX_BACKOFF: Duration = Duration::from_secs(2);
 /// Most frames coalesced into one `write_vectored` call.
 const MAX_IOV: usize = 64;
-/// Upper bound on one `poll(2)` wait for socket writability: short enough
-/// that freshly enqueued frames for *other* peers are picked up promptly.
-const POLL_WAIT: Duration = Duration::from_millis(1);
-/// Writer idle wait when nothing is queued anywhere.
-const IDLE_WAIT: Duration = Duration::from_millis(100);
+/// Size of one `read` from an inbound connection.
+const READ_CHUNK: usize = 64 * 1024;
+/// Most bytes read from one connection per poll, so one busy peer cannot
+/// starve the others and the decoded backlog stays bounded.
+const READ_BUDGET: usize = 4 * READ_CHUNK;
 
 /// Configuration of a TCP endpoint.
 #[derive(Debug, Clone)]
@@ -117,88 +100,103 @@ impl TcpConfig {
 pub struct TcpTransport<M: serde::Serialize + serde::Deserialize + Send + 'static> {
     me: Actor,
     config: TcpConfig,
-    inbound_rx: Receiver<(Actor, M)>,
-    /// Command channel into the writer loop (`None` once shut down).
-    cmd_tx: Option<Sender<WriterCmd<M>>>,
-    /// Shared per-peer backlog gauges: incremented at enqueue, decremented by
-    /// the writer once a frame is written (or torn on a broken connection).
-    /// The send path sheds *before* enqueueing when a gauge is at capacity,
-    /// so per-peer memory stays bounded without any queue lock.
-    backlog: HashMap<Actor, Arc<AtomicUsize>>,
+    /// `None` once shut down.
+    listener: Option<TcpListener>,
+    /// Accepted inbound connections.
+    conns: Vec<Conn>,
+    /// Decoded frames not yet handed to the caller, oldest first.
+    inbox: VecDeque<(Actor, M)>,
+    links: HashMap<Actor, Arc<Link>>,
+    /// Read end of the wake socket: connector threads write to it when they
+    /// leave a write-blocked connection behind.
+    wake: UnixStream,
     stats: Arc<TransportStats>,
-    shutdown: Arc<AtomicBool>,
-    writer_join: Option<JoinHandle<()>>,
-    listener_join: Option<JoinHandle<()>>,
     /// Scratch buffers reused across frame encodings.
     encode_pool: BufferPool,
+    /// Scratch for one `read`.
+    chunk: Box<[u8]>,
+    /// Poll set and the links behind its `POLLOUT` entries, reused.
+    fds: Vec<poll::PollFd>,
+    blocked: Vec<Arc<Link>>,
+}
+
+/// One accepted inbound connection and its undecoded bytes.
+struct Conn {
+    stream: TcpStream,
+    buf: Vec<u8>,
+}
+
+/// The outbound side of one peer, shared between the owner and the peer's
+/// connector thread.
+struct Link {
+    me: Actor,
+    peer: Actor,
+    addr: SocketAddr,
+    stats: Arc<TransportStats>,
+    /// Write end of the owner's wake socket.
+    wake: UnixStream,
+    out: Mutex<Outbound>,
+}
+
+struct Outbound {
+    /// Established nonblocking connection, if any.
+    stream: Option<TcpStream>,
+    /// Frames awaiting write, oldest first.
+    queue: VecDeque<SharedFrame>,
+    /// Bytes of `queue[0]` already written (a partial vectored write).
+    partial: usize,
+    /// The socket returned `WouldBlock`; the owner polls it for `POLLOUT`.
+    blocked: bool,
+    /// A connector thread is in flight.
+    connecting: bool,
+    /// The transport shut down; connectors give up.
+    closed: bool,
 }
 
 impl<M: serde::Serialize + serde::Deserialize + Send + 'static> TcpTransport<M> {
-    /// Binds the listen address and starts the accept loop and the writer
-    /// loop. Outbound connections are established lazily on first send to
-    /// each peer.
+    /// Binds the listen address. Outbound connections are established
+    /// lazily on first send to each peer.
     pub fn bind(me: Actor, mut config: TcpConfig) -> std::io::Result<Self> {
         let listener = TcpListener::bind(config.listen)?;
         // Record the OS-assigned address so port-0 binds are discoverable.
         config.listen = listener.local_addr()?;
         listener.set_nonblocking(true)?;
-        let (inbound_tx, inbound_rx) = sync_channel(config.queue_capacity);
-        let shutdown = Arc::new(AtomicBool::new(false));
+        let (wake, wake_tx) = UnixStream::pair()?;
+        wake.set_nonblocking(true)?;
+        wake_tx.set_nonblocking(true)?;
         let stats = Arc::new(TransportStats::default());
-
-        let accept_shutdown = Arc::clone(&shutdown);
-        let accept_stats = Arc::clone(&stats);
-        let accept_codec = config.codec;
-        let listener_join = std::thread::Builder::new()
-            .name(format!("tcp-accept-{me}"))
-            .spawn(move || {
-                accept_loop(
-                    me,
-                    listener,
-                    inbound_tx,
-                    accept_codec,
-                    accept_shutdown,
-                    accept_stats,
-                )
-            })
-            .expect("spawn accept thread");
-
-        let backlog: HashMap<Actor, Arc<AtomicUsize>> = config
-            .peers
-            .keys()
-            .map(|&peer| (peer, Arc::new(AtomicUsize::new(0))))
-            .collect();
-        let (cmd_tx, cmd_rx) = channel();
-        let writer = WriterLoop {
-            me,
-            codec: config.codec,
-            cmd_rx,
-            cmd_tx: cmd_tx.clone(),
-            peers: config
-                .peers
-                .iter()
-                .map(|(&peer, &addr)| (peer, PeerState::new(addr, Arc::clone(&backlog[&peer]))))
-                .collect(),
-            stats: Arc::clone(&stats),
-            shutdown: Arc::clone(&shutdown),
-            scratch: Vec::new(),
-        };
-        let writer_join = std::thread::Builder::new()
-            .name(format!("tcp-writer-{me}"))
-            .spawn(move || writer.run())
-            .expect("spawn writer thread");
-
+        let mut links = HashMap::new();
+        for (&peer, &addr) in &config.peers {
+            let link = Link {
+                me,
+                peer,
+                addr,
+                stats: Arc::clone(&stats),
+                wake: wake_tx.try_clone()?,
+                out: Mutex::new(Outbound {
+                    stream: None,
+                    queue: VecDeque::new(),
+                    partial: 0,
+                    blocked: false,
+                    connecting: false,
+                    closed: false,
+                }),
+            };
+            links.insert(peer, Arc::new(link));
+        }
         Ok(TcpTransport {
             me,
             config,
-            inbound_rx,
-            cmd_tx: Some(cmd_tx),
-            backlog,
+            listener: Some(listener),
+            conns: Vec::new(),
+            inbox: VecDeque::new(),
+            links,
+            wake,
             stats,
-            shutdown,
-            writer_join: Some(writer_join),
-            listener_join: Some(listener_join),
             encode_pool: BufferPool::new(),
+            chunk: vec![0u8; READ_CHUNK].into_boxed_slice(),
+            fds: Vec::new(),
+            blocked: Vec::new(),
         })
     }
 
@@ -208,61 +206,49 @@ impl<M: serde::Serialize + serde::Deserialize + Send + 'static> TcpTransport<M> 
         self.config.listen
     }
 
-    /// Queues one outbound item towards `to`, counting and warning on drop.
-    fn queue_outbound(&mut self, to: Actor, item: Outbound<M>) {
+    /// Writes `frame` towards `to` at once if the connection allows, else
+    /// queues it; counts and warns on drop.
+    fn enqueue(&mut self, to: Actor, frame: SharedFrame) {
         self.stats.sent.fetch_add(1, Ordering::Relaxed);
-        let Some(gauge) = self.backlog.get(&to) else {
-            // Unknown peer: no address configured.
+        let Some(link) = self.links.get(&to) else {
             let total = self.stats.note_drop(to);
             warn_drop(&self.stats, self.me, to, "no address configured", total);
             return;
         };
+        let mut out = link.lock();
         // Bounded backpressure: shed the *newest* frame when the peer's
-        // backlog is at capacity, exactly like the old bounded queue did.
-        if gauge.load(Ordering::Relaxed) >= self.config.queue_capacity {
+        // queue is at capacity.
+        if out.closed || out.queue.len() >= self.config.queue_capacity {
+            let reason = if out.closed {
+                "transport shut down"
+            } else {
+                "outbound queue full"
+            };
+            drop(out);
             let total = self.stats.note_drop(to);
-            warn_drop(&self.stats, self.me, to, "outbound queue full", total);
+            warn_drop(&self.stats, self.me, to, reason, total);
             return;
         }
-        gauge.fetch_add(1, Ordering::Relaxed);
-        let sent = self
-            .cmd_tx
-            .as_ref()
-            .is_some_and(|tx| tx.send(WriterCmd::Send { to, item }).is_ok());
-        if !sent {
-            gauge.fetch_sub(1, Ordering::Relaxed);
-            let total = self.stats.note_drop(to);
-            warn_drop(&self.stats, self.me, to, "writer gone", total);
+        out.queue.push_back(frame);
+        if !out.blocked {
+            link.flush(&mut out);
         }
-    }
-}
-
-impl<M: serde::Serialize + serde::Deserialize + Send + 'static> Transport<M> for TcpTransport<M> {
-    fn me(&self) -> Actor {
-        self.me
+        link.reconnect_if_down(&mut out);
     }
 
-    fn send(&mut self, to: Actor, message: M) {
-        // Unicast: hand the message to the writer thread unencoded, so
-        // serialization stays off the protocol event loop.
-        self.queue_outbound(to, Outbound::Message(message));
-    }
-
-    fn broadcast(&mut self, recipients: &[Actor], message: M)
-    where
-        M: Clone,
-    {
-        // Encode exactly once; every peer deque receives the same shared
-        // bytes. This is the leader→replica hot path: fan-out cost is one
-        // serialization plus one refcount bump per peer.
+    /// Encodes `message` exactly once and hands the shared bytes to every
+    /// recipient: on the leader→replica hot path a fan-out costs one
+    /// serialization plus one refcount bump per peer. A message over the
+    /// codec's frame limit counts as a drop towards each recipient.
+    fn fan_out(&mut self, recipients: &[Actor], message: &M) {
         match self
             .config
             .codec
-            .encode_shared(self.me, &message, &self.encode_pool)
+            .encode_shared(self.me, message, &self.encode_pool)
         {
             Ok(frame) => {
                 for &to in recipients {
-                    self.queue_outbound(to, Outbound::Frame(Arc::clone(&frame)));
+                    self.enqueue(to, Arc::clone(&frame));
                 }
             }
             Err(_) => {
@@ -275,14 +261,270 @@ impl<M: serde::Serialize + serde::Deserialize + Send + 'static> Transport<M> for
         }
     }
 
-    fn recv_timeout(&mut self, timeout: Duration) -> Option<(Actor, M)> {
-        match self.inbound_rx.recv_timeout(timeout) {
-            Ok(delivery) => {
-                self.stats.received.fetch_add(1, Ordering::Relaxed);
-                Some(delivery)
-            }
-            Err(RecvTimeoutError::Timeout) | Err(RecvTimeoutError::Disconnected) => None,
+    /// One readiness wait of at most `timeout`, then all the I/O it
+    /// reported: reads and decodes into the inbox, accepts, resumes blocked
+    /// writers.
+    fn poll(&mut self, timeout: Duration) {
+        use poll::{PollFd, POLLIN, POLLOUT};
+        self.fds.clear();
+        self.blocked.clear();
+        self.fds.push(PollFd::new(self.wake.as_raw_fd(), POLLIN));
+        if let Some(listener) = &self.listener {
+            self.fds.push(PollFd::new(listener.as_raw_fd(), POLLIN));
         }
+        let first_conn = self.fds.len();
+        for conn in &self.conns {
+            self.fds.push(PollFd::new(conn.stream.as_raw_fd(), POLLIN));
+        }
+        for link in self.links.values() {
+            let out = link.lock();
+            if let (true, Some(stream)) = (out.blocked, &out.stream) {
+                self.fds.push(PollFd::new(stream.as_raw_fd(), POLLOUT));
+                self.blocked.push(Arc::clone(link));
+            }
+        }
+        poll::wait(&mut self.fds, timeout);
+
+        if self.fds[0].revents != 0 {
+            while let Ok(n) = (&self.wake).read(&mut self.chunk) {
+                if n == 0 {
+                    break;
+                }
+            }
+        }
+        // Reverse order, so `swap_remove` only moves connections already
+        // served.
+        let codec = self.config.codec;
+        for i in (0..self.conns.len()).rev() {
+            if self.fds[first_conn + i].revents != 0
+                && !read_conn(&mut self.conns[i], &mut self.chunk, codec, &mut self.inbox)
+            {
+                self.conns.swap_remove(i);
+            }
+        }
+        if let Some(listener) = self.listener.as_ref().filter(|_| self.fds[1].revents != 0) {
+            // An error other than `WouldBlock` (out of file descriptors, say)
+            // ends this round; the listener stays readable and the next poll
+            // retries.
+            while let Ok((stream, _)) = listener.accept() {
+                if stream.set_nonblocking(true).is_ok() {
+                    let _ = stream.set_nodelay(true);
+                    self.conns.push(Conn {
+                        stream,
+                        buf: Vec::new(),
+                    });
+                }
+            }
+        }
+        for (link, fd) in self
+            .blocked
+            .iter()
+            .zip(&self.fds[self.fds.len() - self.blocked.len()..])
+        {
+            if fd.revents != 0 {
+                let mut out = link.lock();
+                link.flush(&mut out);
+                link.reconnect_if_down(&mut out);
+            }
+        }
+    }
+}
+
+/// Reads `conn` up to [`READ_BUDGET`] and decodes every complete frame into
+/// `inbox`. Returns `false` when the connection is finished: closed by the
+/// peer, broken, or carrying a stream the codec rejects.
+fn read_conn<M: serde::Deserialize>(
+    conn: &mut Conn,
+    chunk: &mut [u8],
+    codec: FrameCodec,
+    inbox: &mut VecDeque<(Actor, M)>,
+) -> bool {
+    let mut open = true;
+    let mut budget = READ_BUDGET;
+    while budget > 0 {
+        match conn.stream.read(chunk) {
+            Ok(0) => {
+                open = false;
+                break;
+            }
+            Ok(n) => {
+                conn.buf.extend_from_slice(&chunk[..n]);
+                budget = budget.saturating_sub(n);
+                if n < chunk.len() {
+                    break; // drained; spare the `WouldBlock` syscall
+                }
+            }
+            Err(e) if e.kind() == ErrorKind::Interrupted => {}
+            Err(e) if e.kind() == ErrorKind::WouldBlock => break,
+            Err(_) => {
+                open = false;
+                break;
+            }
+        }
+    }
+    let mut at = 0;
+    loop {
+        match codec.decode::<M>(&conn.buf[at..]) {
+            Ok(Some((from, message, used))) => {
+                inbox.push_back((from, message));
+                at += used;
+            }
+            Ok(None) => break,
+            Err(_) => return false, // corrupt stream: drop the connection
+        }
+    }
+    conn.buf.drain(..at);
+    open
+}
+
+impl Link {
+    fn lock(&self) -> MutexGuard<'_, Outbound> {
+        self.out.lock().expect("link lock")
+    }
+
+    /// Writes as much of the queue as the socket accepts, coalescing up to
+    /// [`MAX_IOV`] frames per `write_vectored` syscall.
+    fn flush(&self, out: &mut Outbound) {
+        let Some(stream) = out.stream.as_mut() else {
+            return;
+        };
+        let stats = &self.stats;
+        if out.queue.len() == 1 {
+            stats.flushes_idle.fetch_add(1, Ordering::Relaxed);
+        } else {
+            stats.flushes_full.fetch_add(1, Ordering::Relaxed);
+        }
+        out.blocked = false;
+        while !out.queue.is_empty() {
+            let mut slices = [IoSlice::new(&[]); MAX_IOV];
+            slices[0] = IoSlice::new(&out.queue[0][out.partial..]);
+            let mut iov = 1;
+            for frame in out.queue.iter().skip(1).take(MAX_IOV - 1) {
+                slices[iov] = IoSlice::new(frame);
+                iov += 1;
+            }
+            match stream.write_vectored(&slices[..iov]) {
+                Ok(mut written) => {
+                    stats.writev_calls.fetch_add(1, Ordering::Relaxed);
+                    if iov > 1 {
+                        stats
+                            .frames_coalesced
+                            .fetch_add(iov as u64, Ordering::Relaxed);
+                    }
+                    // Retire fully written frames; remember the offset into
+                    // a partially written head.
+                    while written > 0 {
+                        let head_left = out.queue[0].len() - out.partial;
+                        if written < head_left {
+                            out.partial += written;
+                            break;
+                        }
+                        written -= head_left;
+                        out.partial = 0;
+                        out.queue.pop_front();
+                    }
+                }
+                Err(e) if e.kind() == ErrorKind::WouldBlock => {
+                    out.blocked = true;
+                    return;
+                }
+                Err(e) if e.kind() == ErrorKind::Interrupted => {}
+                Err(_) => {
+                    // Broken connection. A half-written head frame is torn
+                    // on the wire and must not be resumed on a fresh
+                    // connection; it is the only frame lost.
+                    if out.partial > 0 {
+                        out.partial = 0;
+                        out.queue.pop_front();
+                        let total = stats.note_drop(self.peer);
+                        warn_drop(stats, self.me, self.peer, "connection broken", total);
+                    }
+                    out.stream = None;
+                    return;
+                }
+            }
+        }
+    }
+
+    /// Starts a connector thread if frames wait for a connection that is
+    /// down and none is in flight.
+    fn reconnect_if_down(self: &Arc<Self>, out: &mut Outbound) {
+        if out.stream.is_some() || out.connecting || out.queue.is_empty() {
+            return;
+        }
+        out.connecting = true;
+        let link = Arc::clone(self);
+        std::thread::Builder::new()
+            .name(format!("tcp-connect-{}-to-{}", self.me, self.peer))
+            .spawn(move || link.connect_loop())
+            .expect("spawn connector thread");
+    }
+
+    /// Connects with capped backoff until it succeeds or the transport shuts
+    /// down, then flushes the backlog on the fresh connection.
+    fn connect_loop(&self) {
+        let mut backoff = INITIAL_BACKOFF;
+        loop {
+            let attempt = TcpStream::connect_timeout(&self.addr, Duration::from_millis(500))
+                .and_then(|s| {
+                    s.set_nodelay(true)?;
+                    s.set_nonblocking(true)?;
+                    Ok(s)
+                });
+            let mut out = self.lock();
+            if out.closed {
+                return;
+            }
+            if let Ok(stream) = attempt {
+                out.stream = Some(stream);
+                self.flush(&mut out);
+                if out.stream.is_some() {
+                    out.connecting = false;
+                    if out.blocked {
+                        // Have the owner's next poll watch this socket.
+                        let _ = (&self.wake).write(&[1]);
+                    }
+                    return;
+                }
+            }
+            drop(out);
+            std::thread::sleep(backoff);
+            backoff = (backoff * 2).min(MAX_BACKOFF);
+        }
+    }
+}
+
+impl<M: serde::Serialize + serde::Deserialize + Send + 'static> Transport<M> for TcpTransport<M> {
+    fn me(&self) -> Actor {
+        self.me
+    }
+
+    fn send(&mut self, to: Actor, message: M) {
+        self.fan_out(&[to], &message);
+    }
+
+    fn broadcast(&mut self, recipients: &[Actor], message: M)
+    where
+        M: Clone,
+    {
+        self.fan_out(recipients, &message);
+    }
+
+    fn recv_timeout(&mut self, timeout: Duration) -> Option<(Actor, M)> {
+        if self.inbox.is_empty() {
+            let start = Instant::now();
+            let mut wait = timeout;
+            loop {
+                self.poll(wait);
+                wait = timeout.saturating_sub(start.elapsed());
+                if !self.inbox.is_empty() || wait.is_zero() {
+                    break;
+                }
+            }
+        }
+        let delivery = self.inbox.pop_front()?;
+        self.stats.received.fetch_add(1, Ordering::Relaxed);
+        Some(delivery)
     }
 
     fn stats(&self) -> Arc<TransportStats> {
@@ -290,14 +532,13 @@ impl<M: serde::Serialize + serde::Deserialize + Send + 'static> Transport<M> for
     }
 
     fn shutdown(&mut self) {
-        self.shutdown.store(true, Ordering::SeqCst);
-        // Disconnecting the command channel wakes the writer immediately.
-        drop(self.cmd_tx.take());
-        if let Some(join) = self.writer_join.take() {
-            let _ = join.join();
-        }
-        if let Some(join) = self.listener_join.take() {
-            let _ = join.join();
+        self.listener = None;
+        self.conns.clear();
+        for link in self.links.values() {
+            let mut out = link.lock();
+            out.closed = true;
+            out.stream = None;
+            out.queue.clear();
         }
     }
 }
@@ -308,416 +549,78 @@ impl<M: serde::Serialize + serde::Deserialize + Send + 'static> Drop for TcpTran
     }
 }
 
-fn accept_loop<M: serde::Deserialize + Send + 'static>(
-    me: Actor,
-    listener: TcpListener,
-    inbound: SyncSender<(Actor, M)>,
-    codec: FrameCodec,
-    shutdown: Arc<AtomicBool>,
-    stats: Arc<TransportStats>,
-) {
-    let mut readers: Vec<JoinHandle<()>> = Vec::new();
-    while !shutdown.load(Ordering::SeqCst) {
-        match listener.accept() {
-            Ok((stream, _peer_addr)) => {
-                let _ = stream.set_nodelay(true);
-                let inbound = inbound.clone();
-                let reader_shutdown = Arc::clone(&shutdown);
-                let reader_stats = Arc::clone(&stats);
-                let join = std::thread::Builder::new()
-                    .name("tcp-read".to_string())
-                    .spawn(move || {
-                        read_loop(me, stream, inbound, codec, reader_shutdown, reader_stats)
-                    })
-                    .expect("spawn reader thread");
-                readers.push(join);
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(10));
-            }
-            Err(_) => break,
-        }
-        // Reap readers whose connections have closed, so reconnect churn
-        // from flaky peers does not grow the handle list without bound.
-        readers.retain(|join| !join.is_finished());
-    }
-    for join in readers {
-        let _ = join.join();
-    }
-}
-
-fn read_loop<M: serde::Deserialize + Send + 'static>(
-    me: Actor,
-    mut stream: TcpStream,
-    inbound: SyncSender<(Actor, M)>,
-    codec: FrameCodec,
-    shutdown: Arc<AtomicBool>,
-    stats: Arc<TransportStats>,
-) {
-    use std::io::Read;
-    // Bound the blocking read so the thread notices shutdown. Partial frames
-    // are accumulated in `buf` and decoded with the streaming decoder, so a
-    // timeout mid-frame never loses bytes or desyncs the stream.
-    let _ = stream.set_read_timeout(Some(Duration::from_millis(200)));
-    let mut buf: Vec<u8> = Vec::new();
-    let mut chunk = [0u8; 64 * 1024];
-    while !shutdown.load(Ordering::SeqCst) {
-        match stream.read(&mut chunk) {
-            Ok(0) => return, // peer closed
-            Ok(n) => {
-                buf.extend_from_slice(&chunk[..n]);
-                loop {
-                    match codec.decode::<M>(&buf) {
-                        Ok(Some((from, message, used))) => {
-                            buf.drain(..used);
-                            // Backpressure: a full inbound queue sheds the
-                            // message, same policy as the loopback transport.
-                            // The shed is attributed to the sending peer (as
-                            // an inbound drop) and surfaced, rate-limited,
-                            // rather than silent.
-                            if inbound.try_send((from, message)).is_err() {
-                                let total = stats.note_inbound_drop(from);
-                                warn_inbound_drop(&stats, me, from, "inbound queue full", total);
-                            }
-                        }
-                        Ok(None) => break, // need more bytes
-                        Err(_) => return,  // corrupt stream: drop connection
-                    }
-                }
-            }
-            Err(e)
-                if e.kind() == std::io::ErrorKind::WouldBlock
-                    || e.kind() == std::io::ErrorKind::TimedOut =>
-            {
-                continue;
-            }
-            Err(_) => return,
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Writer loop
-// ---------------------------------------------------------------------------
-
-/// Per-peer outbound state owned by the writer loop.
-struct PeerState {
-    addr: SocketAddr,
-    /// Established nonblocking connection, if any.
-    stream: Option<TcpStream>,
-    /// Frames awaiting write, oldest first.
-    queue: VecDeque<SharedFrame>,
-    /// Bytes of `queue[0]` already written (a partial vectored write).
-    partial: usize,
-    /// Shared with the send path for enqueue-time shedding.
-    gauge: Arc<AtomicUsize>,
-    /// A connector thread is in flight.
-    connecting: bool,
-    /// Current reconnect backoff.
-    backoff: Duration,
-    /// Earliest next connect attempt.
-    retry_at: Instant,
-    /// The socket returned `WouldBlock`; wait for writability before
-    /// retrying.
-    blocked: bool,
-}
-
-impl PeerState {
-    fn new(addr: SocketAddr, gauge: Arc<AtomicUsize>) -> Self {
-        PeerState {
-            addr,
-            stream: None,
-            queue: VecDeque::new(),
-            partial: 0,
-            gauge,
-            connecting: false,
-            backoff: INITIAL_BACKOFF,
-            retry_at: Instant::now(),
-            blocked: false,
-        }
-    }
-}
-
-struct WriterLoop<M> {
-    me: Actor,
-    codec: FrameCodec,
-    cmd_rx: Receiver<WriterCmd<M>>,
-    /// Handed to connector threads so they can report back.
-    cmd_tx: Sender<WriterCmd<M>>,
-    peers: HashMap<Actor, PeerState>,
-    stats: Arc<TransportStats>,
-    shutdown: Arc<AtomicBool>,
-    /// Scratch buffer reused across unicast encodings.
-    scratch: Vec<u8>,
-}
-
-impl<M: serde::Serialize + Send + 'static> WriterLoop<M> {
-    fn run(mut self) {
-        loop {
-            if self.shutdown.load(Ordering::SeqCst) {
-                return;
-            }
-            // 1) Drain every pending command without blocking.
-            let mut disconnected = false;
-            loop {
-                match self.cmd_rx.try_recv() {
-                    Ok(cmd) => self.handle_cmd(cmd),
-                    Err(std::sync::mpsc::TryRecvError::Empty) => break,
-                    Err(std::sync::mpsc::TryRecvError::Disconnected) => {
-                        disconnected = true;
-                        break;
-                    }
-                }
-            }
-            // 2) Service every peer: connect if needed, flush what we can.
-            let now = Instant::now();
-            let peer_ids: Vec<Actor> = self.peers.keys().copied().collect();
-            for peer in peer_ids {
-                self.service_peer(peer, now);
-            }
-            if disconnected && self.peers.values().all(|p| p.queue.is_empty()) {
-                return; // Transport dropped and everything flushed.
-            }
-            // 3) Wait for the next event: new commands, socket writability,
-            //    or a reconnect timer.
-            self.wait(disconnected);
-        }
-    }
-
-    fn handle_cmd(&mut self, cmd: WriterCmd<M>) {
-        match cmd {
-            WriterCmd::Send { to, item } => {
-                let frame: Option<SharedFrame> = match item {
-                    Outbound::Frame(frame) => Some(frame),
-                    Outbound::Message(message) => {
-                        if self
-                            .codec
-                            .encode_into(self.me, &message, &mut self.scratch)
-                            .is_ok()
-                        {
-                            Some(Arc::from(self.scratch.as_slice()))
-                        } else {
-                            None
-                        }
-                    }
-                };
-                let Some(state) = self.peers.get_mut(&to) else {
-                    return; // Send path never enqueues unknown peers.
-                };
-                match frame {
-                    Some(frame) => state.queue.push_back(frame),
-                    None => {
-                        // Oversize unicast payload: counted, never silent.
-                        state.gauge.fetch_sub(1, Ordering::Relaxed);
-                        let total = self.stats.note_drop(to);
-                        warn_drop(&self.stats, self.me, to, "frame encoding failed", total);
-                    }
-                }
-            }
-            WriterCmd::Connected { to, stream } => {
-                if let Some(state) = self.peers.get_mut(&to) {
-                    let _ = stream.set_nodelay(true);
-                    let _ = stream.set_nonblocking(true);
-                    state.stream = Some(stream);
-                    state.connecting = false;
-                    state.backoff = INITIAL_BACKOFF;
-                    state.blocked = false;
-                }
-            }
-            WriterCmd::ConnectFailed { to } => {
-                if let Some(state) = self.peers.get_mut(&to) {
-                    state.connecting = false;
-                    state.retry_at = Instant::now() + state.backoff;
-                    state.backoff = (state.backoff * 2).min(MAX_BACKOFF);
-                }
-            }
-        }
-    }
-
-    /// Connects (via a connector thread) and/or flushes one peer.
-    fn service_peer(&mut self, peer: Actor, now: Instant) {
-        let state = self.peers.get_mut(&peer).expect("peer state present");
-        if state.queue.is_empty() {
-            return;
-        }
-        if state.stream.is_none() {
-            // Unlike the old thread-per-peer design, frames queued towards an
-            // unreachable peer are *kept* across failed connect attempts —
-            // only queue overflow sheds. Kick off a connector if none is in
-            // flight and the backoff window has passed.
-            if !state.connecting && now >= state.retry_at {
-                state.connecting = true;
-                let cmd_tx = self.cmd_tx.clone();
-                let addr = state.addr;
-                std::thread::Builder::new()
-                    .name(format!("tcp-connect-{}-to-{peer}", self.me))
-                    .spawn(move || {
-                        let cmd =
-                            match TcpStream::connect_timeout(&addr, Duration::from_millis(500)) {
-                                Ok(stream) => WriterCmd::Connected { to: peer, stream },
-                                Err(_) => WriterCmd::ConnectFailed { to: peer },
-                            };
-                        let _ = cmd_tx.send(cmd);
-                    })
-                    .expect("spawn connector thread");
-            }
-            return;
-        }
-        self.flush_peer(peer);
-    }
-
-    /// Writes as much of `peer`'s queue as the socket accepts, coalescing up
-    /// to [`MAX_IOV`] frames per `write_vectored` syscall.
-    fn flush_peer(&mut self, peer: Actor) {
-        let state = self.peers.get_mut(&peer).expect("peer state present");
-        let Some(stream) = state.stream.as_mut() else {
-            return;
-        };
-        if state.queue.len() == 1 {
-            self.stats.flushes_idle.fetch_add(1, Ordering::Relaxed);
-        } else {
-            self.stats.flushes_full.fetch_add(1, Ordering::Relaxed);
-        }
-        state.blocked = false;
-        loop {
-            if state.queue.is_empty() {
-                return;
-            }
-            let mut slices: Vec<IoSlice> = Vec::with_capacity(state.queue.len().min(MAX_IOV));
-            slices.push(IoSlice::new(&state.queue[0][state.partial..]));
-            for frame in state.queue.iter().skip(1).take(MAX_IOV - 1) {
-                slices.push(IoSlice::new(frame));
-            }
-            let iov = slices.len();
-            match stream.write_vectored(&slices) {
-                Ok(mut written) => {
-                    self.stats.writev_calls.fetch_add(1, Ordering::Relaxed);
-                    if iov > 1 {
-                        self.stats
-                            .frames_coalesced
-                            .fetch_add(iov as u64, Ordering::Relaxed);
-                    }
-                    // Retire fully written frames; remember the offset into a
-                    // partially written head.
-                    while written > 0 {
-                        let head_left = state.queue[0].len() - state.partial;
-                        if written >= head_left {
-                            written -= head_left;
-                            state.partial = 0;
-                            state.queue.pop_front();
-                            state.gauge.fetch_sub(1, Ordering::Relaxed);
-                        } else {
-                            state.partial += written;
-                            written = 0;
-                        }
-                    }
-                }
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                    // Socket buffer full: park until `poll` reports
-                    // writability.
-                    state.blocked = true;
-                    return;
-                }
-                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-                Err(_) => {
-                    // Broken connection. A half-written head frame is torn on
-                    // the wire and must not be resumed on a fresh connection;
-                    // it is the only frame lost — the rest of the queue rides
-                    // the reconnect.
-                    if state.partial > 0 {
-                        state.partial = 0;
-                        state.queue.pop_front();
-                        state.gauge.fetch_sub(1, Ordering::Relaxed);
-                        let total = self.stats.note_drop(peer);
-                        warn_drop(&self.stats, self.me, peer, "connection broken", total);
-                    }
-                    state.stream = None;
-                    state.retry_at = Instant::now();
-                    return;
-                }
-            }
-        }
-    }
-
-    /// Blocks until there is plausibly more work: a command arrives, a
-    /// blocked socket may have drained, or a reconnect backoff expires.
-    fn wait(&mut self, cmd_channel_gone: bool) {
-        let now = Instant::now();
-        let blocked: Vec<&TcpStream> = self
-            .peers
-            .values()
-            .filter(|p| p.blocked && !p.queue.is_empty())
-            .filter_map(|p| p.stream.as_ref())
-            .collect();
-        if !blocked.is_empty() {
-            // Readiness wait on the write-blocked sockets, bounded so new
-            // commands are picked up within a millisecond.
-            poll::wait_writable(&blocked, POLL_WAIT);
-            return;
-        }
-        // Nothing write-blocked: sleep on the command channel until the next
-        // reconnect deadline (or idle).
-        let mut wait = IDLE_WAIT;
-        for state in self.peers.values() {
-            if !state.queue.is_empty() && state.stream.is_none() && !state.connecting {
-                let until = state.retry_at.saturating_duration_since(now);
-                wait = wait.min(until.max(Duration::from_millis(1)));
-            }
-        }
-        if cmd_channel_gone {
-            // Channel is disconnected; recv would return immediately forever.
-            std::thread::sleep(wait.min(Duration::from_millis(5)));
-            return;
-        }
-        match self.cmd_rx.recv_timeout(wait) {
-            Ok(cmd) => self.handle_cmd(cmd),
-            Err(RecvTimeoutError::Timeout) | Err(RecvTimeoutError::Disconnected) => {}
-        }
-    }
-}
-
-/// Minimal readiness support: `poll(2)` on Linux, a bounded sleep elsewhere.
-/// Hand-rolled because the offline build has no `libc`/`mio`; the writer
-/// only ever needs "may I write again?" with a small timeout.
+/// Minimal readiness support: `ppoll(2)` on Linux, a bounded sleep elsewhere.
+/// Hand-rolled because the offline build has no `libc`/`mio`.
 mod poll {
-    use std::net::TcpStream;
+    use std::os::unix::io::RawFd;
     use std::time::Duration;
 
-    #[cfg(target_os = "linux")]
-    pub fn wait_writable(streams: &[&TcpStream], timeout: Duration) {
-        use std::os::unix::io::AsRawFd;
+    pub const POLLIN: i16 = 0x001;
+    pub const POLLOUT: i16 = 0x004;
 
-        #[repr(C)]
-        struct PollFd {
-            fd: i32,
-            events: i16,
-            revents: i16,
-        }
-        const POLLOUT: i16 = 0x004;
-        extern "C" {
-            fn poll(fds: *mut PollFd, nfds: u64, timeout: i32) -> i32;
-        }
+    /// `struct pollfd`.
+    #[repr(C)]
+    pub struct PollFd {
+        fd: RawFd,
+        events: i16,
+        pub revents: i16,
+    }
 
-        let mut fds: Vec<PollFd> = streams
-            .iter()
-            .map(|s| PollFd {
-                fd: s.as_raw_fd(),
-                events: POLLOUT,
+    impl PollFd {
+        pub fn new(fd: RawFd, events: i16) -> Self {
+            PollFd {
+                fd,
+                events,
                 revents: 0,
-            })
-            .collect();
-        let timeout_ms = timeout.as_millis().min(i32::MAX as u128) as i32;
-        // SAFETY: `fds` is a live, correctly sized array of repr(C) pollfd
-        // structs for the duration of the call; `poll` does not retain the
-        // pointer past its return.
-        unsafe {
-            poll(fds.as_mut_ptr(), fds.len() as u64, timeout_ms);
+            }
         }
     }
 
+    /// Waits up to `timeout` for any of `fds` to become ready, filling in
+    /// each `revents`.
+    #[cfg(target_os = "linux")]
+    pub fn wait(fds: &mut [PollFd], timeout: Duration) {
+        use std::os::raw::{c_int, c_long, c_ulong};
+
+        #[repr(C)]
+        struct Timespec {
+            tv_sec: c_long,
+            tv_nsec: c_long,
+        }
+        extern "C" {
+            fn ppoll(
+                fds: *mut PollFd,
+                nfds: c_ulong,
+                timeout: *const Timespec,
+                sigmask: *const u8,
+            ) -> c_int;
+        }
+
+        let ts = Timespec {
+            tv_sec: timeout.as_secs().min(c_long::MAX as u64) as c_long,
+            tv_nsec: timeout.subsec_nanos() as c_long,
+        };
+        // An interrupted call (EINTR) reports nothing ready; the caller polls
+        // again.
+        // SAFETY: `fds` is a live slice of repr(C) pollfd structs and `ts` a
+        // live timespec; the kernel reads and writes them only during the
+        // call. A null signal mask keeps the caller's mask.
+        unsafe {
+            ppoll(
+                fds.as_mut_ptr(),
+                fds.len() as c_ulong,
+                &ts,
+                std::ptr::null(),
+            );
+        }
+    }
+
+    /// Waits briefly and reports every descriptor ready; the nonblocking
+    /// calls that follow sort out which really were.
     #[cfg(not(target_os = "linux"))]
-    pub fn wait_writable(_streams: &[&TcpStream], timeout: Duration) {
+    pub fn wait(fds: &mut [PollFd], timeout: Duration) {
         std::thread::sleep(timeout.min(Duration::from_millis(1)));
+        fds.iter_mut().for_each(|fd| fd.revents = fd.events);
     }
 }
 
@@ -785,7 +688,7 @@ mod tests {
         let mut a: TcpTransport<Message> =
             TcpTransport::bind(server(0), TcpConfig::new(addr_a, peers_a)).unwrap();
 
-        // Send before the peer exists: the writer retries with backoff and
+        // Send before the peer exists: a connector retries with backoff and
         // the frames survive the unreachable window (only overflow sheds).
         for i in 0..5 {
             a.send(server(1), msg(i));
@@ -885,7 +788,7 @@ mod tests {
             expected.extend_from_slice(&codec.encode_shared(server(0), m, &pool).unwrap());
         }
 
-        // Burst-send so the writer has every chance to coalesce (the first
+        // Burst-send so the transport has every chance to coalesce (the first
         // frames queue while the connector is still completing).
         for m in &messages {
             a.send(server(1), m.clone());
@@ -921,5 +824,142 @@ mod tests {
             writev < messages.len() as u64 || coalesced > 0,
             "200 burst frames over one connection should not take 200+ uncoalesced syscalls"
         );
+    }
+
+    /// Receives until `done` holds for what arrived, or ten seconds pass.
+    fn recv_until(
+        t: &mut TcpTransport<Message>,
+        done: impl Fn(&[(Actor, Message)]) -> bool,
+    ) -> Vec<(Actor, Message)> {
+        let mut got = Vec::new();
+        let deadline = std::time::Instant::now() + Duration::from_secs(10);
+        while !done(&got) && std::time::Instant::now() < deadline {
+            got.extend(t.recv_timeout(Duration::from_millis(50)));
+        }
+        got
+    }
+
+    #[test]
+    fn burst_and_byte_at_a_time_frames_arrive_in_order() {
+        let (addr_b, _) = two_free_ports();
+        let mut b: TcpTransport<Message> =
+            TcpTransport::bind(server(1), TcpConfig::new(addr_b, HashMap::new())).unwrap();
+        let codec = FrameCodec::new();
+        let mut peer = TcpStream::connect(addr_b).unwrap();
+        peer.set_nodelay(true).unwrap();
+
+        // 500 frames in one write: many frames per read, decoded with one
+        // cursor pass.
+        let burst: Vec<u8> = (0..500)
+            .flat_map(|i| codec.encode(server(0), &msg(i)).unwrap())
+            .collect();
+        peer.write_all(&burst).unwrap();
+        // One more frame, a byte at a time, with the receiver polling
+        // between bytes: a partial frame is never delivered early.
+        let last = codec.encode(server(0), &msg(500)).unwrap();
+        let mut got = Vec::new();
+        for (k, byte) in last.iter().enumerate() {
+            peer.write_all(std::slice::from_ref(byte)).unwrap();
+            while let Some(delivery) = b.recv_timeout(Duration::from_millis(1)) {
+                got.push(delivery);
+            }
+            if k + 1 < last.len() {
+                assert!(got.len() <= 500, "a partial frame was delivered");
+            }
+        }
+        got.extend(recv_until(&mut b, |rest| got.len() + rest.len() >= 501));
+        let expected: Vec<(Actor, Message)> = (0..=500).map(|i| (server(0), msg(i))).collect();
+        assert_eq!(got, expected, "every frame arrives once, in order");
+    }
+
+    #[test]
+    fn corrupt_stream_is_dropped_while_another_keeps_delivering() {
+        let (addr_b, _) = two_free_ports();
+        let mut b: TcpTransport<Message> =
+            TcpTransport::bind(server(1), TcpConfig::new(addr_b, HashMap::new())).unwrap();
+        let codec = FrameCodec::new();
+        let mut bad = TcpStream::connect(addr_b).unwrap();
+        let mut good = TcpStream::connect(addr_b).unwrap();
+
+        let mut forged = codec.encode(server(2), &msg(7)).unwrap();
+        forged[..4].copy_from_slice(b"XXXX");
+        bad.write_all(&forged).unwrap();
+        good.write_all(&codec.encode(server(0), &msg(1)).unwrap())
+            .unwrap();
+        assert_eq!(recv_until(&mut b, |g| !g.is_empty()), [(server(0), msg(1))]);
+
+        // The receiver closes the corrupt connection: its peer reads EOF
+        // (or a reset) while the receiver keeps polling.
+        bad.set_nonblocking(true).unwrap();
+        let deadline = std::time::Instant::now() + Duration::from_secs(10);
+        let closed = loop {
+            assert!(b.recv_timeout(Duration::from_millis(10)).is_none());
+            match bad.read(&mut [0u8; 16]) {
+                Ok(0) => break true,
+                Err(e) if e.kind() == ErrorKind::WouldBlock => {}
+                Err(_) => break true,
+                Ok(_) => panic!("the receiver never writes on an inbound connection"),
+            }
+            if std::time::Instant::now() > deadline {
+                break false;
+            }
+        };
+        assert!(closed, "a stream with bad magic must be dropped");
+
+        for i in 2..4 {
+            good.write_all(&codec.encode(server(0), &msg(i)).unwrap())
+                .unwrap();
+        }
+        assert_eq!(
+            recv_until(&mut b, |g| g.len() >= 2),
+            [(server(0), msg(2)), (server(0), msg(3))],
+            "the healthy connection keeps delivering"
+        );
+    }
+
+    #[test]
+    fn restarted_peer_receives_frames_without_the_sender_polling() {
+        let (addr_a, addr_b) = two_free_ports();
+        let peers_a = HashMap::from([(server(1), addr_b)]);
+        // `a` only ever sends: its connector threads do all its connecting
+        // and flushing.
+        let mut a: TcpTransport<Message> =
+            TcpTransport::bind(server(0), TcpConfig::new(addr_a, peers_a)).unwrap();
+        let bind_b =
+            || TcpTransport::bind(server(1), TcpConfig::new(addr_b, HashMap::new())).unwrap();
+
+        let mut b: TcpTransport<Message> = bind_b();
+        for i in 0..3 {
+            a.send(server(1), msg(i));
+        }
+        let got: Vec<Message> = recv_until(&mut b, |g| g.len() >= 3)
+            .into_iter()
+            .map(|(_, m)| m)
+            .collect();
+        assert_eq!(got, (0..3).map(msg).collect::<Vec<_>>());
+
+        // Restart the peer on the same address.
+        drop(b);
+        let mut b: TcpTransport<Message> = bind_b();
+        // The first write after the restart still lands in the connection
+        // the old peer closed, and TCP reports the reset only to the next
+        // write. That write fails, stays queued, and the connector carries
+        // it and everything after it to the new peer.
+        a.send(server(1), msg(100));
+        std::thread::sleep(Duration::from_millis(50));
+        for i in 101..=110 {
+            a.send(server(1), msg(i));
+        }
+        let got: Vec<Message> = recv_until(&mut b, |g| g.last().map(|d| &d.1) == Some(&msg(110)))
+            .into_iter()
+            .map(|(_, m)| m)
+            .skip_while(|m| *m == msg(100))
+            .collect();
+        assert_eq!(
+            got,
+            (101..=110).map(msg).collect::<Vec<_>>(),
+            "frames sent after the restart arrive, in order"
+        );
+        assert_eq!(a.stats().snapshot().2, 0, "nothing may be shed");
     }
 }

@@ -31,18 +31,18 @@ pub struct TransportStats {
     /// Messages dropped because the destination queue was full
     /// (backpressure) or the destination was unreachable.
     pub dropped: AtomicU64,
-    /// Vectored writes issued by the TCP writer loop (one per
+    /// Vectored writes issued by the TCP transport (one per
     /// `write_vectored` syscall). Zero on non-TCP transports.
     pub writev_calls: AtomicU64,
     /// Frames that shared a vectored write with at least one other frame —
     /// the payoff of coalescing (frames written alone count in
     /// `writev_calls` only).
     pub frames_coalesced: AtomicU64,
-    /// Writer-loop flushes that found exactly one queued frame (idle path:
-    /// the frame went out immediately, protecting p50 latency).
+    /// TCP flushes that found exactly one queued frame (idle path: the
+    /// frame went out as it was sent, protecting p50 latency).
     pub flushes_idle: AtomicU64,
-    /// Writer-loop flushes that coalesced a multi-frame backlog (loaded
-    /// path: many frames per syscall, protecting throughput).
+    /// TCP flushes of a multi-frame backlog that built up while the
+    /// connection was blocked or down (many frames per syscall).
     pub flushes_full: AtomicU64,
     /// Per-peer breakdown of outbound drops (messages we failed to deliver
     /// *to* a peer), so operators can spot a single slow or dead peer.
@@ -66,7 +66,7 @@ impl TransportStats {
         )
     }
 
-    /// Snapshot of the TCP writer-loop counters:
+    /// Snapshot of the TCP write counters:
     /// `(writev_calls, frames_coalesced, flushes_idle, flushes_full)`.
     pub fn writer_snapshot(&self) -> (u64, u64, u64, u64) {
         (
@@ -176,8 +176,8 @@ impl TransportStats {
 /// Cluster-wide sums of [`TransportStats`] counters, accumulated across every
 /// node's endpoint with [`TransportStats::accumulate_into`]. Benchmark and
 /// chaos reports serialize this to show both delivery health (sent /
-/// received / dropped) and how the TCP writer behaved (vectored writes,
-/// coalescing, idle-vs-full flushes). On loopback clusters the writer
+/// received / dropped) and how TCP writes behaved (vectored writes,
+/// coalescing, idle-vs-full flushes). On loopback clusters the write
 /// counters stay zero.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct TransportTotals {
@@ -187,13 +187,13 @@ pub struct TransportTotals {
     pub received: u64,
     /// Messages dropped (backpressure or unreachable destination).
     pub dropped: u64,
-    /// `write_vectored` syscalls issued by TCP writer loops.
+    /// `write_vectored` syscalls issued by TCP transports.
     pub writev_calls: u64,
     /// Frames that shared a vectored write with at least one other frame.
     pub frames_coalesced: u64,
-    /// Writer flushes that found a single queued frame (idle path).
+    /// TCP flushes that found a single queued frame (idle path).
     pub flushes_idle: u64,
-    /// Writer flushes that coalesced a multi-frame backlog (loaded path).
+    /// TCP flushes of a multi-frame backlog (loaded path).
     pub flushes_full: u64,
 }
 
@@ -202,22 +202,6 @@ pub(crate) fn warn_drop(stats: &TransportStats, me: Actor, peer: Actor, reason: 
     if stats.should_warn() {
         eprintln!(
             "[prestige-net] {me}: dropping message to {peer} ({reason}); {total} total drops to this peer so far"
-        );
-    }
-}
-
-/// Logs one rate-limited warning about an inbound message from `peer` shed
-/// by the local node `me`.
-pub(crate) fn warn_inbound_drop(
-    stats: &TransportStats,
-    me: Actor,
-    peer: Actor,
-    reason: &str,
-    total: u64,
-) {
-    if stats.should_warn() {
-        eprintln!(
-            "[prestige-net] {me}: shedding inbound message from {peer} ({reason}); {total} total inbound drops for this peer so far"
         );
     }
 }
@@ -266,7 +250,7 @@ pub trait Transport<M>: Send {
     /// The default implementation clones the payload per recipient (correct
     /// for in-process transports, where a clone of an `Arc`-shared payload is
     /// a refcount bump). Serializing transports override it to encode the
-    /// frame exactly once and hand the shared bytes to every per-peer writer.
+    /// frame exactly once and hand the shared bytes to every peer.
     fn broadcast(&mut self, recipients: &[Actor], message: M)
     where
         M: Clone,
