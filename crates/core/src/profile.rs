@@ -9,7 +9,7 @@
 //! sharing the boundary read between adjacent spans).
 //!
 //! **Attribution model.** Spans nest: the runtime opens a *root* span around
-//! each handler call (`on_message`, `on_timer`, `on_job_complete`), and the
+//! each handler call (`on_message`, `on_timer`), and the
 //! server opens *sub*-spans around the expensive regions inside the handler
 //! (block adoption, WAL appends, inline crypto). Each sub-span records its
 //! *self* time — elapsed minus its own nested sub-spans — to its stage and
@@ -41,8 +41,8 @@ pub enum LoopStage {
     /// Protocol handler self time: dispatch, guard checks, quorum
     /// bookkeeping — everything in a handler not claimed by a sub-span.
     Guards = 1,
-    /// Signature / share / QC / batch-digest checks executed on the loop
-    /// thread (the off-loop pools move these to workers).
+    /// Signature / share / QC / batch-digest checks, all executed on the
+    /// loop thread.
     InlineVerify = 2,
     /// Committed-block adoption: dedup marking, block-store insert, client
     /// notification assembly.

@@ -29,15 +29,9 @@
 //! back into sequence order by the `pending_commit_blocks` buffer inside
 //! [`PrestigeServer::apply_committed_block`].
 //!
-//! **Off-loop verification.** When an asynchronous
-//! [`prestige_crypto::VerifyPool`] is attached, every signature, share, and
-//! QC check on this path is submitted as a job and the message parks until
-//! the verdict comes back as an ordinary event
-//! (`Process::on_job_complete` → the `*_verified` / `add_*_share`
-//! continuations, which re-check all cheap guards because the view may have
-//! moved while the job was in flight). Without a pool — the deterministic
-//! simulator — the same checks run inline, in the original order, with the
-//! original CPU charges.
+//! Every handler checks a message and acts on it in the same call: cheap
+//! guards first, then the signature, share, or QC check, then the state
+//! change. The simulator and the real runtime run this one path.
 
 mod follower;
 mod leader;
@@ -46,8 +40,8 @@ mod verify;
 use crate::server::PrestigeServer;
 use prestige_types::{Digest, Proposal, SeqNum, View};
 
-// The batch digest moved to `prestige-crypto` so the verify pool can
-// recompute it off the protocol loop; re-exported here for compatibility.
+// The batch digest lives in `prestige-crypto` next to the other framed
+// hashes; re-exported here for compatibility.
 pub use prestige_crypto::batch_digest;
 
 /// CPU cost charged per transaction when hashing / validating a batch (ms).
@@ -85,7 +79,6 @@ mod tests {
         Actor, ClientId, ClusterConfig, Message, QcKind, ServerId, Transaction, TxBlock,
     };
     use std::sync::Arc;
-    use std::time::{Duration, Instant};
 
     /// Runs `f` against a server with a fresh driver context and returns the
     /// buffered effects.
@@ -150,133 +143,51 @@ mod tests {
     }
 
     #[test]
-    fn offloaded_ord_parks_until_the_verdict_arrives() {
+    fn forged_ord_gets_no_reply_and_the_node_keeps_serving() {
+        // An `Ord` whose leader signature does not verify, or whose signed
+        // digest is not the digest of the carried batch, is rejected: no
+        // phase-1 share, nothing recorded. A valid `Ord` for the same
+        // instance afterwards is acknowledged normally.
         let config = ClusterConfig::new(4);
         let registry = KeyRegistry::new(9, 4, 2);
         let mut follower = PrestigeServer::new(ServerId(1), config, registry.clone(), 0);
-        let pool = follower.spawn_verify_pool(1);
+        let deliver = |s: &mut PrestigeServer, batch, digest, sig| {
+            with_ctx(s, |s, ctx| {
+                s.on_message(
+                    Actor::Server(ServerId(0)),
+                    Message::Ord {
+                        view: View(1),
+                        n: SeqNum(1),
+                        batch,
+                        digest,
+                        sig,
+                    },
+                    ctx,
+                );
+            })
+        };
         let (batch, digest, sig) = ord_fields(&registry, 1);
+        // A genuine leader signature over another batch's digest.
+        let (_, other_digest, other_sig) = ord_fields(&registry, 2);
 
-        // Delivery submits the job and parks the message — no reply yet.
-        let effects = with_ctx(&mut follower, |s, ctx| {
-            s.on_message(
-                Actor::Server(ServerId(0)),
-                Message::Ord {
-                    view: View(1),
-                    n: SeqNum(1),
-                    batch,
-                    digest,
-                    sig,
-                },
-                ctx,
+        for (digest, sig, what) in [
+            (digest, [0xEE; 32], "forged signature"),
+            (other_digest, other_sig, "digest of another batch"),
+        ] {
+            let effects = deliver(&mut follower, Arc::clone(&batch), digest, sig);
+            assert!(
+                !contains_ord_reply(&effects),
+                "Ord with a {what} must not be acknowledged"
             );
-        });
-        assert!(!contains_ord_reply(&effects), "reply must wait for verdict");
-        assert_eq!(follower.stats().verify_offloaded, 1);
+            assert!(follower.ordered_digests.is_empty());
+            assert!(follower.ordered_batches.is_empty());
+        }
 
-        // The worker finishes; the runtime hands the verdict back.
-        let deadline = Instant::now() + Duration::from_secs(5);
-        let verdict = loop {
-            if let Some(v) = pool.try_completion() {
-                break v;
-            }
-            assert!(Instant::now() < deadline, "verify pool never completed");
-            std::thread::sleep(Duration::from_micros(50));
-        };
-        assert!(verdict.ok, "a well-formed Ord must verify");
-        let effects = with_ctx(&mut follower, |s, ctx| {
-            s.on_job_complete(verdict.token, verdict.ok, ctx);
-        });
-        assert!(
-            contains_ord_reply(&effects),
-            "verified Ord must be acknowledged"
-        );
-    }
-
-    #[test]
-    fn rejected_verdict_drops_the_parked_message() {
-        // A failed (or panicked) verify job must surface as a rejected
-        // message: the continuation never runs, the node keeps going.
-        let config = ClusterConfig::new(4);
-        let registry = KeyRegistry::new(9, 4, 2);
-        let mut follower = PrestigeServer::new(ServerId(1), config, registry.clone(), 0);
-        let pool = follower.spawn_verify_pool(1);
-        let (batch, digest, _) = ord_fields(&registry, 1);
-
-        let effects = with_ctx(&mut follower, |s, ctx| {
-            s.on_message(
-                Actor::Server(ServerId(0)),
-                Message::Ord {
-                    view: View(1),
-                    n: SeqNum(1),
-                    batch,
-                    digest,
-                    sig: [0xEE; 32], // forged leader signature
-                },
-                ctx,
-            );
-        });
-        assert!(!contains_ord_reply(&effects));
-
-        let deadline = Instant::now() + Duration::from_secs(5);
-        let verdict = loop {
-            if let Some(v) = pool.try_completion() {
-                break v;
-            }
-            assert!(Instant::now() < deadline, "verify pool never completed");
-            std::thread::sleep(Duration::from_micros(50));
-        };
-        assert!(!verdict.ok, "forged signature must be rejected");
-        let effects = with_ctx(&mut follower, |s, ctx| {
-            s.on_job_complete(verdict.token, verdict.ok, ctx);
-        });
-        assert!(
-            !contains_ord_reply(&effects),
-            "rejected Ord must be dropped"
-        );
-        assert_eq!(follower.stats().verify_rejected, 1);
-
-        // The node is not hung: a valid Ord afterwards is processed normally.
-        let (batch, digest, sig) = ord_fields(&registry, 1);
-        let effects = with_ctx(&mut follower, |s, ctx| {
-            s.on_message(
-                Actor::Server(ServerId(0)),
-                Message::Ord {
-                    view: View(1),
-                    n: SeqNum(1),
-                    batch,
-                    digest,
-                    sig,
-                },
-                ctx,
-            );
-        });
-        assert!(!contains_ord_reply(&effects), "async path parks first");
-        let verdict = loop {
-            if let Some(v) = pool.try_completion() {
-                break v;
-            }
-            std::thread::sleep(Duration::from_micros(50));
-        };
-        let effects = with_ctx(&mut follower, |s, ctx| {
-            s.on_job_complete(verdict.token, verdict.ok, ctx);
-        });
+        let effects = deliver(&mut follower, batch, digest, sig);
         assert!(
             contains_ord_reply(&effects),
             "node keeps serving after a rejection"
         );
-    }
-
-    #[test]
-    fn stale_verdicts_for_unknown_tokens_are_ignored() {
-        let config = ClusterConfig::new(4);
-        let registry = KeyRegistry::new(9, 4, 2);
-        let mut server = PrestigeServer::new(ServerId(1), config, registry, 0);
-        let effects = with_ctx(&mut server, |s, ctx| {
-            s.on_job_complete(777, true, ctx);
-        });
-        assert!(effects.emissions.is_empty());
-        assert_eq!(server.stats().verify_rejected, 0);
     }
 
     #[test]
@@ -607,52 +518,6 @@ mod tests {
             SeqNum(1),
             "QC + matching batch certify the instance"
         );
-    }
-
-    #[test]
-    fn duplicate_ord_collapses_onto_one_inflight_verification() {
-        let config = ClusterConfig::new(4);
-        let registry = KeyRegistry::new(9, 4, 2);
-        let mut follower = PrestigeServer::new(ServerId(1), config, registry.clone(), 0);
-        let pool = follower.spawn_verify_pool(1);
-        let (batch, digest, sig) = ord_fields(&registry, 1);
-        let deliver = |s: &mut PrestigeServer| {
-            let batch = Arc::clone(&batch);
-            with_ctx(s, |s, ctx| {
-                s.on_message(
-                    Actor::Server(ServerId(0)),
-                    Message::Ord {
-                        view: View(1),
-                        n: SeqNum(1),
-                        batch,
-                        digest,
-                        sig,
-                    },
-                    ctx,
-                );
-            })
-        };
-        deliver(&mut follower);
-        deliver(&mut follower);
-        deliver(&mut follower);
-        assert_eq!(
-            follower.stats().verify_offloaded,
-            1,
-            "retransmitted Ord must ride the in-flight job"
-        );
-        // After the verdict, the slot frees again.
-        let deadline = Instant::now() + Duration::from_secs(5);
-        let verdict = loop {
-            if let Some(v) = pool.try_completion() {
-                break v;
-            }
-            assert!(Instant::now() < deadline);
-            std::thread::sleep(Duration::from_micros(50));
-        };
-        with_ctx(&mut follower, |s, ctx| {
-            s.on_job_complete(verdict.token, verdict.ok, ctx);
-        });
-        assert!(follower.pending_ord_verifies.is_empty());
     }
 
     #[test]

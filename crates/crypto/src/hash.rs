@@ -52,10 +52,6 @@ impl FramedHasher {
 /// `["batch", view, n, client₀, ts₀, client₁, ts₁, …]`), so the digest value
 /// is unchanged — pinned by the compatibility proptests — but computing it
 /// allocates nothing.
-///
-/// Lives here (rather than in `prestige-core`, which re-exports it) so the
-/// [`crate::pool::VerifyPool`] can recompute ordering digests off the
-/// protocol loop.
 pub fn batch_digest(view: View, n: SeqNum, batch: &[Proposal]) -> Digest {
     let mut h = FramedHasher::new();
     h.field(b"batch")

@@ -126,18 +126,6 @@ impl QcBuilder {
         Ok(self.complete())
     }
 
-    /// Adds a share **without** re-verifying it against the registry.
-    ///
-    /// Callers must have already verified the share's signature over exactly
-    /// this builder's statement `(kind, view, seq, digest)` — the off-loop
-    /// [`crate::pool::VerifyPool`] path does so before the completion is
-    /// handed back to the protocol. Duplicate shares from the same signer are
-    /// idempotent. Returns `true` if the builder is complete afterwards.
-    pub fn add_verified_share(&mut self, share: &PartialSig) -> bool {
-        self.shares.insert(share.signer, share.sig);
-        self.complete()
-    }
-
     /// Aggregates the collected shares into a quorum certificate.
     ///
     /// The aggregate value is the hash of the statement and all shares in

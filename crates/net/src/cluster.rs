@@ -23,7 +23,7 @@ use prestige_core::{
     ByzantineBehavior, ClientConfig, ClientStats, LoopProfile, LoopSnapshot, PrestigeClient,
     PrestigeServer, ServerStats,
 };
-use prestige_crypto::{JobSource, KeyRegistry};
+use prestige_crypto::KeyRegistry;
 use prestige_storage::{StorageStats, Wal, WalOptions};
 use prestige_types::{Actor, ClientId, ClusterConfig, Digest, Message, ServerId, View};
 use std::collections::HashMap;
@@ -168,16 +168,6 @@ fn spawn_server(
         server.replay_wal(records);
         server.attach_storage(Box::new(wal));
     }
-    // `verify_workers > 0` moves signature/QC checks off the protocol loop,
-    // `apply_workers > 0` moves committed-block adoption off it; the runtime
-    // polls each pool and feeds completions back as events.
-    let mut sources: Vec<Arc<dyn JobSource>> = Vec::new();
-    if config.verify_workers > 0 {
-        sources.push(server.spawn_verify_pool(config.verify_workers));
-    }
-    if config.apply_workers > 0 {
-        sources.push(server.spawn_apply_pool(config.apply_workers));
-    }
     let profile = profiling.then(|| {
         let p = Arc::new(LoopProfile::default());
         server.attach_profiler(Arc::clone(&p));
@@ -186,8 +176,13 @@ fn spawn_server(
     let endpoint = net.endpoint(Actor::Server(id));
     let transport = maybe_chaotic(endpoint, chaos, seed, id.0 as u64);
     let stats = transport.stats();
-    let handle =
-        NodeHandle::spawn_instrumented(Box::new(server), transport, seed, sources, profile.clone());
+    let handle = NodeHandle::spawn_instrumented(
+        Box::new(server),
+        transport,
+        seed,
+        Vec::new(),
+        profile.clone(),
+    );
     (handle, stats, profile)
 }
 
@@ -635,8 +630,6 @@ pub fn launch_tcp_server(
 ) -> std::io::Result<NodeHandle<Message>> {
     let transport: TcpTransport<Message> =
         TcpTransport::bind(Actor::Server(id), TcpConfig::new(listen, peers))?;
-    let verify_workers = config.verify_workers;
-    let apply_workers = config.apply_workers;
     let mut server = PrestigeServer::with_behavior(id, config, registry, seed, behavior);
     if let Some(plan) = &storage {
         let dir = plan.server_dir(id);
@@ -646,20 +639,13 @@ pub fn launch_tcp_server(
         server.replay_wal(records);
         server.attach_storage(Box::new(wal));
     }
-    let mut sources: Vec<Arc<dyn JobSource>> = Vec::new();
-    if verify_workers > 0 {
-        sources.push(server.spawn_verify_pool(verify_workers));
-    }
-    if apply_workers > 0 {
-        sources.push(server.spawn_apply_pool(apply_workers));
-    }
     let profile = Arc::new(LoopProfile::default());
     server.attach_profiler(Arc::clone(&profile));
     Ok(NodeHandle::spawn_instrumented(
         Box::new(server),
         Box::new(transport),
         seed,
-        sources,
+        Vec::new(),
         Some(profile),
     ))
 }
@@ -775,13 +761,6 @@ impl TcpCluster {
                 seed,
                 ByzantineBehavior::Correct,
             );
-            let mut sources: Vec<Arc<dyn JobSource>> = Vec::new();
-            if config.verify_workers > 0 {
-                sources.push(server.spawn_verify_pool(config.verify_workers));
-            }
-            if config.apply_workers > 0 {
-                sources.push(server.spawn_apply_pool(config.apply_workers));
-            }
             let profile = profiling.then(|| {
                 let p = Arc::new(LoopProfile::default());
                 server.attach_profiler(Arc::clone(&p));
@@ -796,7 +775,7 @@ impl TcpCluster {
                     Box::new(server),
                     Box::new(transport),
                     seed,
-                    sources,
+                    Vec::new(),
                     profile,
                 ),
             );

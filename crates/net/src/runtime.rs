@@ -16,27 +16,20 @@
 //!   loop when due (cancellations respected);
 //! * `ctx.charge_cpu(..)` — ignored: real CPU time passes by itself.
 //!
-//! When the node offloads work to background pools — crypto checks to a
-//! [`VerifyPool`], committed-block adoption to an apply `TaskPool` — the
-//! event loop also drains each pool's completion queue (any number of
-//! [`JobSource`]s) and feeds every `(token, ok)` pair back through
-//! `Process::on_job_complete` — completions are ordinary events, interleaved
-//! with deliveries and timers on the same single protocol thread. The pools
-//! are *sharded by consensus instance* (see `VerifyPool::submit_sharded`):
-//! each worker owns a private queue, all jobs for one instance land on one
-//! worker in submission order, and distinct instances proceed concurrently —
-//! so follower-side verification and leader/follower block adoption scale
-//! across cores while this event loop, which only consumes completions and
-//! applies state, stays single-threaded and deterministic. This runtime seam
-//! is the *only* place sharding exists; the simulator never attaches an
-//! async pool, so simulated runs are bit-identical for any worker count.
+//! Protocol nodes verify and apply inline, inside their handlers, so one
+//! thread does all of a node's protocol work. The one seam for work done
+//! elsewhere is [`JobSource`]: a node spawned with completion sources has
+//! each finished `(token, ok)` pair fed back through
+//! `Process::on_job_complete` as an ordinary event, interleaved with
+//! deliveries and timers on the same thread. No launcher in this crate
+//! attaches one.
 //!
 //! # Profiling
 //!
 //! When a [`LoopProfile`] is attached (see [`NodeHandle::spawn_instrumented`]),
 //! the loop buckets its wall time by stage: every handler invocation runs
-//! under a root span (messages → `guards`, timer fires → `timer`, completion
-//! events → `guards`, control drains → `control`), the protocol core opens
+//! under a root span (messages → `guards`, timer fires → `timer`, job
+//! completions → `guards`, control drains → `control`), the protocol core opens
 //! sub-spans for the expensive interior work (`inline_verify`, `apply`,
 //! `storage_append`), the effects writer opens an `encode_broadcast`
 //! sub-span, and waits land in `idle` (a queued message's receive cost lands
@@ -47,7 +40,6 @@
 
 use crate::transport::Transport;
 use prestige_core::{LoopProfile, LoopStage};
-use prestige_crypto::{JobSource, VerifyPool};
 use prestige_sim::{Context, Effects, Emission, Process, SimRng, SimTime, TimerId};
 use prestige_types::{Actor, Wire};
 use std::collections::{BinaryHeap, HashSet};
@@ -59,10 +51,10 @@ use std::time::{Duration, Instant};
 /// Longest the event loop sleeps before re-checking control messages.
 const IDLE_TICK: Duration = Duration::from_millis(20);
 
-/// Cap on the transport wait while verification jobs are outstanding, so
-/// verdicts are consumed with sub-millisecond latency even when no messages
-/// arrive to wake the loop.
-const VERIFY_POLL_TICK: Duration = Duration::from_micros(200);
+/// Cap on the transport wait while jobs are outstanding, so completions are
+/// consumed with sub-millisecond latency even when no messages arrive to
+/// wake the loop.
+const JOB_POLL_TICK: Duration = Duration::from_micros(200);
 
 /// How many additional queued messages one loop iteration drains after a
 /// successful receive, before re-checking timers and control. Bounded so a
@@ -70,12 +62,18 @@ const VERIFY_POLL_TICK: Duration = Duration::from_micros(200);
 /// bookkeeping under load.
 const MESSAGE_BURST: usize = 64;
 
-/// How many finished verification verdicts one loop iteration consumes
-/// before re-checking timers and control. With several verify shards a
-/// saturated pool can complete jobs faster than the node applies them; an
-/// unbounded drain would starve the batch timer exactly when the pipeline
-/// most needs refilling.
-const VERIFY_BURST: usize = 128;
+/// How many job completions one loop iteration consumes per source before
+/// re-checking timers and control, so a busy source cannot starve timers.
+const JOB_BURST: usize = 128;
+
+/// A source of finished jobs, polled by the event loop: each completion is
+/// delivered to the node as `Process::on_job_complete(token, ok)`.
+pub trait JobSource: Send + Sync {
+    /// Pops one finished completion, if any.
+    fn try_done(&self) -> Option<(u64, bool)>;
+    /// Jobs submitted whose completions have not been consumed yet.
+    fn pending(&self) -> usize;
+}
 
 /// A pending timer in the node's local heap (min-heap by due time, FIFO on
 /// ties via the timer id, mirroring the simulator's tie-break).
@@ -131,25 +129,9 @@ impl<M: Wire + Send + 'static> NodeHandle<M> {
         Self::spawn_instrumented(node, transport, seed, Vec::new(), None)
     }
 
-    /// [`Self::spawn`] with an attached verification pool: the event loop
-    /// polls `pool` for finished crypto jobs and delivers each verdict to the
-    /// node via `Process::on_job_complete`. Pass the same pool handle the
-    /// node submits to (e.g. from `PrestigeServer::spawn_verify_pool`).
-    pub fn spawn_with_pool(
-        node: Box<dyn Process<M> + Send>,
-        transport: Box<dyn Transport<M>>,
-        seed: u64,
-        pool: Option<Arc<VerifyPool>>,
-    ) -> Self {
-        let sources: Vec<Arc<dyn JobSource>> =
-            pool.into_iter().map(|p| p as Arc<dyn JobSource>).collect();
-        Self::spawn_instrumented(node, transport, seed, sources, None)
-    }
-
-    /// The general spawn: any number of completion sources (verify pool,
-    /// apply pool, …) drained as `Process::on_job_complete` events, plus an
-    /// optional always-on stage profiler (see the module docs' *Profiling*
-    /// section). Pass the same pool handles the node submits to.
+    /// The general spawn: any number of [`JobSource`]s drained as
+    /// `Process::on_job_complete` events, plus an optional always-on stage
+    /// profiler (see the module docs' *Profiling* section).
     pub fn spawn_instrumented(
         node: Box<dyn Process<M> + Send>,
         mut transport: Box<dyn Transport<M>>,
@@ -316,12 +298,12 @@ fn run_event_loop<M: Wire + Send + 'static>(
         }
         LoopProfile::end_root(&profile, span, LoopStage::Control);
 
-        // Deliver finished off-loop jobs (verify verdicts, apply outcomes) as
-        // ordinary events, bounded per iteration so a hot pool cannot starve
-        // timers. The handler's own bookkeeping lands in `guards`; its heavy
-        // interior (apply, storage) carves itself out via sub-spans.
+        // Deliver finished jobs as ordinary events, bounded per iteration so
+        // a busy source cannot starve timers. The handler's own bookkeeping
+        // lands in `guards`; its heavy interior carves itself out via
+        // sub-spans.
         for source in &sources {
-            for _ in 0..VERIFY_BURST {
+            for _ in 0..JOB_BURST {
                 let Some((token, ok)) = source.try_done() else {
                     break;
                 };
@@ -362,8 +344,8 @@ fn run_event_loop<M: Wire + Send + 'static>(
         }
 
         // Sleep until the next timer (bounded by the idle tick), waking early
-        // for any inbound message; while off-loop jobs are outstanding the
-        // wait is capped so completions are consumed promptly.
+        // for any inbound message; while jobs are outstanding the wait is
+        // capped so completions are consumed promptly.
         let mut wait = match timers.peek() {
             Some(head) => {
                 let gap = head.due.since(now(epoch));
@@ -372,7 +354,7 @@ fn run_event_loop<M: Wire + Send + 'static>(
             None => IDLE_TICK,
         };
         if sources.iter().any(|s| s.pending() > 0) {
-            wait = wait.min(VERIFY_POLL_TICK);
+            wait = wait.min(JOB_POLL_TICK);
         }
         // A zero-timeout poll first: a message already queued charges its
         // receive to `decode`; only an actually-empty queue pays the blocking
